@@ -21,7 +21,7 @@ echo "== lint-kernels (full arch family, static-only; deny findings are errors)"
 # clean path ran zero simulated replays (the symbolic analyzer was
 # conclusive everywhere). The old per-kernel replay step is gone: the
 # fuzz agreement oracle below cross-checks static vs replay verdicts.
-cargo run --release -p lsv-bench --bin lint-kernels -- --all --static --deny-as-error
+cargo run --release -p lsv-bench --bin lsvconv-cli -- lint-kernels --all --static --deny-as-error
 
 echo "== differential fuzz (smoke: seed corpus + bounded randomized sweep)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --agreement
@@ -32,19 +32,16 @@ cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --backend nat
 echo "== profile smoke (reconciliation + profile.json schema are hard errors)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- profile --smoke --out results/ci-profile
 
-echo "== bench-simulator (smoke)"
-cargo run --release -p lsv-bench --bin bench-simulator -- --smoke
-
 echo "== layer-store smoke (cold -> warm >= 5x + byte-identical, then store-off equality)"
 STORE_SMOKE_DIR=results/.ci-store
 STORE_SMOKE_OUT=results/logs
 mkdir -p "$STORE_SMOKE_OUT"
 rm -rf "$STORE_SMOKE_DIR"
 t0=$(date +%s%N)
-LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/mpki 32 \
+LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/lsvconv-cli mpki 32 \
     >"$STORE_SMOKE_OUT/ci-store-cold.csv" 2>/dev/null
 t1=$(date +%s%N)
-LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/mpki 32 \
+LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/lsvconv-cli mpki 32 \
     >"$STORE_SMOKE_OUT/ci-store-warm.csv" 2>/dev/null
 t2=$(date +%s%N)
 cmp "$STORE_SMOKE_OUT/ci-store-cold.csv" "$STORE_SMOKE_OUT/ci-store-warm.csv"
@@ -55,7 +52,7 @@ if [ $((warm_ms * 5)) -gt "$cold_ms" ]; then
     echo "store smoke: warm pass (${warm_ms}ms) not >=5x faster than cold (${cold_ms}ms)" >&2
     exit 1
 fi
-LSV_STORE=0 ./target/release/mpki 32 >"$STORE_SMOKE_OUT/ci-store-off.csv" 2>/dev/null
+LSV_STORE=0 ./target/release/lsvconv-cli mpki 32 >"$STORE_SMOKE_OUT/ci-store-off.csv" 2>/dev/null
 cmp "$STORE_SMOKE_OUT/ci-store-cold.csv" "$STORE_SMOKE_OUT/ci-store-off.csv"
 rm -rf "$STORE_SMOKE_DIR"
 
@@ -87,12 +84,9 @@ cmp "$SERVE_TRACE_COLD/serving_timeseries.csv" "$SERVE_TRACE_WARM/serving_timese
 rm -rf "$SERVE_TRACE_COLD" "$SERVE_TRACE_WARM"
 
 echo "== bench-serving (smoke; BENCH_serving.json schema validation is a hard error)"
-LSV_STORE_DIR="$SERVE_STORE_DIR" ./target/release/bench-serving --smoke \
+LSV_STORE_DIR="$SERVE_STORE_DIR" ./target/release/lsvconv-cli bench-serving --smoke \
     --json "$STORE_SMOKE_OUT/ci-serving.json" >"$STORE_SMOKE_OUT/ci-serving.csv" 2>/dev/null
 rm -rf "$SERVE_STORE_DIR"
-
-echo "== bench-native (smoke: layer GFLOP/s + sim-vs-native corpus speedup)"
-cargo run --release -p lsv-bench --bin bench-native -- --smoke
 
 echo "== cargo bench (smoke mode: 1 sample per benchmark)"
 LSV_BENCH_SMOKE=1 cargo bench --workspace -q

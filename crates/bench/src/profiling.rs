@@ -1,8 +1,8 @@
 //! Shared plumbing for the profiled bench paths: metadata assembly, the
 //! reconciliation + schema gates, and artifact emission.
 //!
-//! Every consumer (`lsvconv profile`, the `--profile` flags on the
-//! figure/table bins, CI's smoke gate) goes through
+//! Every consumer (`lsvconv-cli profile`, the `--profile` flags on the
+//! `table3` and `performance` experiments, CI's smoke gate) goes through
 //! [`write_profile_artifacts`], so a profile that fails cycle
 //! reconciliation or schema validation can never be written to disk as if
 //! it were trustworthy.

@@ -463,7 +463,7 @@ pub struct NativePerf {
 }
 
 /// Execute one layer's full minibatch on the [`NativeBackend`] and measure
-/// host wall time (the `BENCH_native.json` numbers). Operands are filled
+/// host wall time (perfbench's `native-table3` numbers). Operands are filled
 /// with deterministic pseudo-random data; the work is executed single-core
 /// on the host, exactly as `run_with_backend` would.
 pub fn bench_layer_native(

@@ -894,9 +894,9 @@ pub fn stats_metrics_json(st: &LayerStore) -> String {
 }
 
 /// Write this process's store counters as one metrics document to the path
-/// in `LSV_STORE_STATS` (regen bins call this on exit; bench-simulator
-/// collects the files into BENCH_simulator.json). Same wire format as
-/// `lsvconv serve --trace`'s metrics.json — one serializer, one schema.
+/// in `LSV_STORE_STATS` (`lsvconv-cli` calls this on exit, so regen logs
+/// one file per experiment). Same wire format as
+/// `lsvconv-cli serve --trace`'s metrics.json — one serializer, one schema.
 pub fn dump_stats_to_env_file() {
     let Ok(path) = std::env::var("LSV_STORE_STATS") else {
         return;

@@ -5,7 +5,7 @@
 //! The simulator has no wall clock, so the trace timebase is **one trace
 //! microsecond per simulated cycle** — durations read as cycle counts.
 
-use crate::escape_json;
+use crate::{escape_json, TimelineBuilder};
 use lsv_vengine::RegionProfile;
 
 /// Render the profile's span log as a Chrome-trace JSON document.
@@ -15,30 +15,27 @@ use lsv_vengine::RegionProfile;
 /// event `args` carry the full `root;...` path so flamegraph-style queries
 /// work inside Perfetto.
 pub fn perfetto_trace_json(profile: &RegionProfile) -> String {
-    let mut out = String::with_capacity(64 + profile.spans.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"lsv-vengine core\"}}",
-    );
+    let mut tl = TimelineBuilder::new();
+    tl.process(0, "lsv-vengine core");
     for span in &profile.spans {
-        let path = &profile.paths[span.path as usize];
-        out.push(',');
-        out.push_str(&format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"cat\":\"region\",\"name\":\"{}\",\
-             \"ts\":{},\"dur\":{},\"args\":{{\"path\":\"{}\"}}}}",
-            escape_json(path.name),
-            span.start,
-            span.end - span.start,
-            escape_json(&profile.full_name(span.path)),
-        ));
+        let path = format!("\"{}\"", escape_json(&profile.full_name(span.path)));
+        tl.span(
+            0,
+            0,
+            "region",
+            profile.paths[span.path as usize].name,
+            span.start as f64,
+            (span.end - span.start) as f64,
+            &[("path", path)],
+        );
     }
-    out.push_str(&format!(
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"timebase\":\"1us = 1 cycle\",\
-         \"total_cycles\":\"{}\",\"dropped_spans\":\"{}\"}}}}",
-        profile.total.cycles, profile.dropped_spans
-    ));
-    out
+    tl.finish(
+        "1us = 1 cycle",
+        &[
+            ("total_cycles", format!("\"{}\"", profile.total.cycles)),
+            ("dropped_spans", format!("\"{}\"", profile.dropped_spans)),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -20,13 +20,13 @@ pub const PROFILE_SCHEMA: &str = include_str!("../schemas/profile.schema.json");
 /// schema fails the gate, which is the point.
 pub const LINT_SCHEMA: &str = include_str!("../schemas/lint.schema.json");
 
-/// The checked-in JSON schema `results/BENCH_serving.json` (emitted by the
-/// `bench-serving` binary and `lsvconv serve`) must conform to. The arrival
+/// The checked-in JSON schema `results/BENCH_serving.json` (emitted by
+/// `lsvconv-cli bench-serving`) must conform to. The arrival
 /// and pass enums pin the serving sweep's wire format.
 pub const SERVING_SCHEMA: &str = include_str!("../schemas/serving.schema.json");
 
 /// The checked-in JSON schema every [`crate::MetricsRegistry`] document
-/// (`metrics.json`, the per-bin `*.store.json` dumps) must conform to —
+/// (`metrics.json`, the per-experiment `*.store.json` dumps) must conform to —
 /// one wire format for every metrics publisher.
 pub const METRICS_SCHEMA: &str = include_str!("../schemas/metrics.schema.json");
 

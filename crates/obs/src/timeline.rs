@@ -1,14 +1,16 @@
 //! Generic multi-track Chrome-trace/Perfetto timeline builder.
 //!
-//! [`crate::perfetto_trace_json`] renders one core's region spans on a
-//! single track; the serving-plane trace needs more: a server track with
-//! batch spans, one lane per concurrent request, and counter tracks (queue
-//! depth, batch occupancy). This builder emits the Chrome Trace Event JSON
-//! object format (`"ph": "M"` metadata, `"ph": "X"` complete spans,
-//! `"ph": "C"` counters) that <https://ui.perfetto.dev> loads directly.
+//! The one Chrome-trace writer: [`crate::perfetto_trace_json`] renders one
+//! core's region spans on a single track through it, and the serving-plane
+//! trace adds a server track with batch spans, one lane per concurrent
+//! request, and counter tracks (queue depth, batch occupancy). The builder
+//! emits the Chrome Trace Event JSON object format (`"ph": "M"` metadata,
+//! `"ph": "X"` complete spans, `"ph": "C"` counters) that
+//! <https://ui.perfetto.dev> loads directly.
 //!
 //! Timestamps are caller-defined `f64`s in whatever simulated unit the
-//! caller uses (the serving trace uses **one trace microsecond per simulated
+//! caller uses (the region trace uses one trace microsecond per simulated
+//! cycle, the serving trace **one trace microsecond per simulated
 //! millisecond**, so durations read as milliseconds); the builder passes
 //! them through [`crate::json_f64`] untouched — no scaling, no rounding.
 

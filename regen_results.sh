@@ -1,26 +1,30 @@
 #!/bin/sh
-# Regenerate every artifact under results/ from the release binaries.
+# Regenerate every artifact under results/ with the release lsvconv-cli.
 #
-# Bins run sequentially: the binaries already parallelize internally over
-# host threads, and a strict order lets the shared layer store dedup work
-# across bins (an early bin's slices are store hits for every later bin
-# that sweeps the same layers) instead of racing to simulate the same
-# point twice. Each bin writes to a .tmp file that is only moved into
-# place on success, and stderr goes to results/logs/<bin>.log — a failing
-# bin can neither leave a truncated CSV nor pollute one with diagnostics.
-# The report runs last, over the finished artifacts.
+# The plan comes from `lsvconv-cli regen --list`: one
+# `<command> <artifact> [args]` line per artifact, in the order of the
+# binary's experiment table. Every experiment's defaults are the arguments
+# regen runs it with, so the listed args are output paths only.
 #
-# Layer store: every bin shares the content-addressed layer-result store
+# Steps run sequentially: each experiment already parallelizes internally
+# over host threads, and a strict order lets the shared layer store dedup
+# work across steps (an early sweep's slices are store hits for every later
+# step that sweeps the same layers) instead of racing to simulate the same
+# point twice. Each step writes to a .tmp file that is only moved into
+# place on success, and stderr goes to results/logs/<command>.log — a
+# failing step can neither leave a truncated CSV nor pollute one with
+# diagnostics. The report runs last, over the finished artifacts.
+#
+# Layer store: every step shares the content-addressed layer-result store
 # at $LSV_STORE_DIR (default results/.layer-store). The store is wiped
 # before the run so committed CSVs always come from a cold, fully
 # re-simulated pass — set KEEP_STORE=1 to reuse a previous run's entries
-# (warm regen, seconds instead of minutes). Per-bin store counters land in
-# results/logs/<bin>.store.json and per-bin wall times in
-# results/logs/regen_times.txt (the file bench-simulator --regen-after
-# consumes).
+# (warm regen, seconds instead of minutes). Per-step store counters land in
+# results/logs/<command>.store.json and per-step wall times in
+# results/logs/regen_times.txt.
 set -eu
 cd "$(dirname "$0")"
-B=./target/release
+CLI=./target/release/lsvconv-cli
 mkdir -p results results/logs
 
 LSV_STORE_DIR=${LSV_STORE_DIR:-results/.layer-store}
@@ -33,46 +37,32 @@ TIMES=results/logs/regen_times.txt
 : >"$TIMES"
 
 run() {
-    # run <bin> <artifact> [args...]
-    bin=$1
+    # run <command> <artifact> [args...]
+    cmd=$1
     out=$2
     shift 2
     t0=$(date +%s%N)
-    if LSV_STORE_STATS="results/logs/$bin.store.json" \
-        "$B/$bin" "$@" >"results/$out.tmp" 2>"results/logs/$bin.log"; then
+    if LSV_STORE_STATS="results/logs/$cmd.store.json" \
+        "$CLI" "$cmd" "$@" </dev/null >"results/$out.tmp" 2>"results/logs/$cmd.log"; then
         t1=$(date +%s%N)
-        echo "$bin $(((t1 - t0) / 1000000))ms" >>"$TIMES"
+        echo "$cmd $(((t1 - t0) / 1000000))ms" >>"$TIMES"
         mv "results/$out.tmp" "results/$out"
     else
         rc=$?
         rm -f "results/$out.tmp"
-        echo "regen: $bin failed (rc=$rc), stderr in results/logs/$bin.log" >&2
+        echo "regen: $cmd failed (rc=$rc), stderr in results/logs/$cmd.log" >&2
         return "$rc"
     fi
 }
 
-# Order matters for the store: figure4 (the broad vlen x layer sweep)
-# goes first so the heavyweight sweeps behind it start warm.
-run table1 table1.csv
-run table2 table2.csv
-run table3 table3.csv
-run figure2 figure2.csv
-run figure4 figure4.csv
-run figure5 figure5.csv
-run figure6 figure6.csv
-run mpki mpki.csv 32
-run ablation ablation.csv
-run performance performance.csv 256
-run figure3 figure3.txt 8
-run crossisa crossisa.csv 32
-run validate validate.csv 1
-# The serving sweep reuses the shared store: its latency tables revisit the
-# same (layer, direction) slices the figure sweeps already simulated. The
-# JSON and time-series artifacts are written (and, for the JSON,
-# schema-validated) by the bin itself; only the CSV goes through the
-# tmp-and-move stdout path.
-run bench-serving serving.csv --json results/BENCH_serving.json \
-    --timeseries results/serving_timeseries.csv
-
-run report report.txt results
+# The whole plan is read before the first step runs. bench-serving's listed
+# args write its JSON (schema-validated by the command itself) and its
+# time series; only the CSV goes through the tmp-and-move stdout path.
+PLAN=$("$CLI" regen --list)
+while read -r cmd out args; do
+    # $args is deliberately unquoted: it holds space-separated words.
+    run "$cmd" "$out" $args
+done <<EOF
+$PLAN
+EOF
 echo ALL_DONE
