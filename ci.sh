@@ -88,6 +88,22 @@ LSV_STORE_DIR="$SERVE_STORE_DIR" ./target/release/lsvconv-cli bench-serving --sm
     --json "$STORE_SMOKE_OUT/ci-serving.json" >"$STORE_SMOKE_OUT/ci-serving.csv" 2>/dev/null
 rm -rf "$SERVE_STORE_DIR"
 
+echo "== perfbench oracles (sim-figure4 full-Table-3 row equality, fuzz agreement)"
+# The repository benchmark checks every simulated Figure 4 row against
+# results/figure4.csv and runs the fuzz agreement oracle; CI runs one
+# iteration of each and requires its verdict line to say correct.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in sim-figure4 fuzz-agreement; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        >"$STORE_SMOKE_OUT/ci-perfbench-$workload.txt"
+    if ! tail -n 1 "$STORE_SMOKE_OUT/ci-perfbench-$workload.txt" | grep -q '"correct": true'; then
+        echo "perfbench $workload: not correct" >&2
+        tail -n 5 "$STORE_SMOKE_OUT/ci-perfbench-$workload.txt" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo bench (smoke mode: 1 sample per benchmark)"
 LSV_BENCH_SMOKE=1 cargo bench --workspace -q
 

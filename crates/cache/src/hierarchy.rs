@@ -163,11 +163,12 @@ impl Hierarchy {
 
     /// Fill the next `prefetch_degree` lines into every level, silently.
     fn issue_prefetches(&mut self, addr: u64) {
+        let mut llc = self.llc.borrow_mut();
         for d in 1..=self.prefetch_degree {
             let pf = addr + d * self.line;
             self.l1.insert_silent(pf);
             self.l2.insert_silent(pf);
-            self.llc.borrow_mut().insert_silent(pf);
+            llc.insert_silent(pf);
         }
     }
 

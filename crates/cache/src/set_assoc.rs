@@ -7,8 +7,13 @@
 //! constant-time, allocation-free accesses:
 //!
 //! * the ways of all sets live in one flat array (no per-set `Vec` pointer
-//!   chase; LRU order is maintained by shifting at most `ways` copies of a
-//!   16-byte `Way`),
+//!   chase; LRU order is maintained by shifting at most `ways` copies of an
+//!   8-byte `Way` — the line address with valid/dirty/prefetch flags packed
+//!   into its always-zero offset bits, so a 16-way LLC set spans two host
+//!   cache lines instead of four, and an empty way is all zero bits: the
+//!   array comes from a zeroed allocation whose pages the host maps only
+//!   when a set is first touched, so building a core with a 16 MB LLC
+//!   model no longer writes the whole tag array),
 //! * set lookup is shift/mask (all practical geometries have power-of-two
 //!   set counts; a modulo fallback keeps odd geometries correct),
 //! * the conflict-classification shadow is an exact fully-associative LRU in
@@ -27,13 +32,45 @@
 use crate::stats::LevelStats;
 use lsv_arch::CacheGeometry;
 
-/// One way of a set: the line tag plus dirty/prefetch flags.
+/// One way of a set: the line address with three flags in its offset bits
+/// (line-aligned addresses have at least [`MIN_LINE_SHIFT`] zero low bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    line_addr: u64,
-    dirty: bool,
-    /// Filled by a prefetch and not yet demand-hit (stream-training state).
-    prefetched: bool,
+struct Way(u64);
+
+/// The line was written since it was filled.
+const DIRTY: u64 = 1;
+/// Filled by a prefetch and not yet demand-hit (stream-training state).
+const PREFETCHED: u64 = 2;
+/// The way holds a line (an all-zero way is empty).
+const VALID: u64 = 4;
+/// Lines of at least 8 bytes leave the three flag bits free.
+const MIN_LINE_SHIFT: u32 = 3;
+
+impl Way {
+    #[inline]
+    fn new(line_addr: u64, dirty: bool, prefetched: bool) -> Self {
+        Way(line_addr
+            | VALID
+            | if dirty { DIRTY } else { 0 }
+            | if prefetched { PREFETCHED } else { 0 })
+    }
+
+    /// Whether this way holds `line_addr` (never true for an empty way:
+    /// its VALID bit is clear).
+    #[inline]
+    fn holds(self, line_addr: u64) -> bool {
+        self.0 & !(DIRTY | PREFETCHED) == line_addr | VALID
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.0 & DIRTY != 0
+    }
+
+    #[inline]
+    fn prefetched(self) -> bool {
+        self.0 & PREFETCHED != 0
+    }
 }
 
 const NO_NODE: u32 = u32::MAX;
@@ -189,6 +226,10 @@ impl ShadowLru {
 
     /// Touch a line; returns whether it was resident. Evicts the
     /// least-recently-used line when inserting into a full shadow.
+    // Forced inline (like `access_line` and `insert_silent`): every L1
+    // access and prefetch fill calls it, and the call overhead measured
+    // about a tenth of the DC warm-up kernel's host time.
+    #[inline(always)]
     pub fn access(&mut self, line_addr: u64) -> bool {
         // Re-touching the head changes no recency state: skip the hash probe.
         if self.head != NO_NODE && self.line[self.head as usize] == line_addr {
@@ -263,8 +304,9 @@ pub struct SetAssocCache {
     /// Whether `set_mask` is usable; otherwise fall back to a modulo.
     sets_po2: bool,
     ways: usize,
-    /// `sets * ways` ways; set `s` owns `[s*ways, s*ways + len[s])`.
-    entries: Box<[Way]>,
+    /// `sets * ways` ways as raw [`Way`] bits (a `u64` array, so it is
+    /// allocated zeroed); set `s` owns `[s*ways, s*ways + len[s])`.
+    entries: Box<[u64]>,
     /// Occupancy per set.
     lens: Box<[u8]>,
     /// Most-recently-accessed line (fast path), `NO_LINE` when invalid.
@@ -283,6 +325,10 @@ impl SetAssocCache {
     pub fn new(geom: CacheGeometry, classify_conflicts: bool) -> Self {
         let sets = geom.sets();
         assert!(geom.ways <= u8::MAX as usize, "associativity fits a u8");
+        assert!(
+            geom.line.trailing_zeros() >= MIN_LINE_SHIFT,
+            "lines of at least 8 bytes"
+        );
         let shadow = classify_conflicts.then(|| ShadowLru::new(geom.lines()));
         Self {
             geom,
@@ -290,15 +336,7 @@ impl SetAssocCache {
             set_mask: sets as u64 - 1,
             sets_po2: sets.is_power_of_two(),
             ways: geom.ways,
-            entries: vec![
-                Way {
-                    line_addr: NO_LINE,
-                    dirty: false,
-                    prefetched: false,
-                };
-                sets * geom.ways
-            ]
-            .into_boxed_slice(),
+            entries: vec![0; sets * geom.ways].into_boxed_slice(),
             lens: vec![0; sets].into_boxed_slice(),
             mru_line: NO_LINE,
             mru_set: 0,
@@ -325,11 +363,7 @@ impl SetAssocCache {
 
     /// Drop all contents and counters.
     pub fn flush(&mut self) {
-        self.entries.fill(Way {
-            line_addr: NO_LINE,
-            dirty: false,
-            prefetched: false,
-        });
+        self.entries.fill(0);
         self.lens.fill(0);
         self.mru_line = NO_LINE;
         if let Some(sh) = &mut self.shadow {
@@ -351,6 +385,9 @@ impl SetAssocCache {
     /// Access one cache line (the address may be anywhere inside the line).
     /// `write` marks the line dirty. Missing lines are allocated
     /// (write-allocate), evicting the set's LRU way.
+    // Forced inline into the hierarchy's per-line loops (see
+    // `ShadowLru::access`).
+    #[inline(always)]
     pub fn access_line(&mut self, addr: u64, write: bool) -> LineAccess {
         let line_addr = (addr >> self.line_shift) << self.line_shift;
 
@@ -361,7 +398,7 @@ impl SetAssocCache {
         if line_addr == self.mru_line {
             self.stats.hits += 1;
             if write {
-                self.entries[self.mru_set * self.ways].dirty = true;
+                self.entries[self.mru_set * self.ways] |= DIRTY;
             }
             return HIT_MRU;
         }
@@ -376,11 +413,10 @@ impl SetAssocCache {
         let base = set_idx * self.ways;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.entries[base..base + len];
-        if let Some(pos) = set.iter().position(|w| w.line_addr == line_addr) {
-            let mut way = set[pos];
-            way.dirty |= write;
-            let first_hit_on_prefetch = way.prefetched;
-            way.prefetched = false;
+        if let Some(pos) = set.iter().position(|&w| Way(w).holds(line_addr)) {
+            let way = Way(set[pos]);
+            let first_hit_on_prefetch = way.prefetched();
+            let way = Way::new(line_addr, way.dirty() || write, false).0;
             set.copy_within(0..pos, 1);
             set[0] = way;
             self.stats.hits += 1;
@@ -402,8 +438,7 @@ impl SetAssocCache {
         }
         let mut writeback = false;
         if len == self.ways {
-            let victim = set[len - 1];
-            if victim.dirty {
+            if Way(set[len - 1]).dirty() {
                 writeback = true;
                 self.stats.writebacks += 1;
             }
@@ -413,11 +448,7 @@ impl SetAssocCache {
         let shift = len.min(self.ways - 1);
         let set = &mut self.entries[base..base + self.ways];
         set.copy_within(0..shift, 1);
-        set[0] = Way {
-            line_addr,
-            dirty: write,
-            prefetched: false,
-        };
+        set[0] = Way::new(line_addr, write, false).0;
         self.mru_line = line_addr;
         self.mru_set = set_idx;
         LineAccess {
@@ -431,6 +462,8 @@ impl SetAssocCache {
     /// Insert a line without touching statistics (hardware prefetch fill).
     /// The shadow is updated too: the fully-associative reference sees the
     /// same (demand + prefetch) stream.
+    // Forced inline (see `ShadowLru::access`).
+    #[inline(always)]
     pub fn insert_silent(&mut self, addr: u64) {
         let line_addr = (addr >> self.line_shift) << self.line_shift;
         let set_idx = self.set_of(addr);
@@ -439,7 +472,7 @@ impl SetAssocCache {
         // already this set's MRU way and — when a shadow exists — also the
         // shadow's most recent line. Re-inserting would reshuffle nothing,
         // so no state (including the demand MRU shortcut) needs touching.
-        if self.lens[set_idx] > 0 && self.entries[set_idx * self.ways].line_addr == line_addr {
+        if Way(self.entries[set_idx * self.ways]).holds(line_addr) {
             match &self.shadow {
                 None => return,
                 Some(sh) if sh.mru_line() == Some(line_addr) => return,
@@ -461,7 +494,7 @@ impl SetAssocCache {
         let base = set_idx * self.ways;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.entries[base..base + len];
-        if let Some(pos) = set.iter().position(|w| w.line_addr == line_addr) {
+        if let Some(pos) = set.iter().position(|&w| Way(w).holds(line_addr)) {
             let way = set[pos];
             set.copy_within(0..pos, 1);
             set[0] = way;
@@ -473,11 +506,7 @@ impl SetAssocCache {
         let shift = len.min(self.ways - 1);
         let set = &mut self.entries[base..base + self.ways];
         set.copy_within(0..shift, 1);
-        set[0] = Way {
-            line_addr,
-            dirty: false,
-            prefetched: true,
-        };
+        set[0] = Way::new(line_addr, false, true).0;
     }
 
     /// Whether a line is currently resident (no LRU update, no stats).
@@ -488,7 +517,7 @@ impl SetAssocCache {
         let len = self.lens[set_idx] as usize;
         self.entries[base..base + len]
             .iter()
-            .any(|w| w.line_addr == line_addr)
+            .any(|&w| Way(w).holds(line_addr))
     }
 }
 

@@ -7,7 +7,7 @@
 //! `(IC/IC_b, OC/grain, KH, KW, grain, IC_b)` — so the vectorized `IC`
 //! dimension stays innermost and weight vectors remain unit-stride.
 
-use super::{act_vec_lanes, load_act_vec, store_act_vec};
+use super::{fill_taps, init_acc_block, store_acc_block, Tap};
 use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
 use lsv_tensor::{ActTensor, WeiTensor};
@@ -32,7 +32,6 @@ pub fn run(
 ) {
     debug_assert!(cfg.wei_swapped);
     core.region_enter("bwd_data");
-    let (oh, ow) = (p.oh(), p.ow());
     let vl_max = cfg.vl;
     let ic_vblocks = p.ic.div_ceil(vl_max);
     let (rb_w, rb_h) = (cfg.rb.rb_w, cfg.rb.rb_h);
@@ -42,13 +41,14 @@ pub fn run(
     let kh_blocks = p.kh.div_ceil(tile.kh_i);
     let kw_blocks = p.kw.div_ceil(tile.kw_i);
     let oc_chunks = p.oc.div_ceil(tile.c_i);
+    let mut taps: Vec<Tap> = Vec::new();
+    let mut producers = Producers::default();
 
     for n in n_range {
         core.scalar_ops(2);
         for icv in 0..ic_vblocks {
             core.scalar_ops(2);
             let vl = vl_max.min(p.ic - icv * vl_max);
-            let lanes = act_vec_lanes(src_diff, vl);
             for occ in 0..oc_chunks {
                 core.scalar_ops(2);
                 let oc0 = occ * tile.c_i;
@@ -61,6 +61,16 @@ pub fn run(
                         let kw0 = kwb * tile.kw_i;
                         let kw_cnt = tile.kw_i.min(p.kw - kw0);
                         let first_pass = occ == 0 && khb == 0 && kwb == 0;
+                        fill_taps(
+                            &mut taps,
+                            dst_diff,
+                            wei,
+                            n,
+                            icv,
+                            (oc0, oc_cnt),
+                            (kh0, kh_cnt),
+                            (kw0, kw_cnt),
+                        );
                         core.scalar_ops(2);
                         let mut ih0 = 0;
                         while ih0 < p.ih {
@@ -73,25 +83,25 @@ pub fn run(
                                 if edge {
                                     core.region_enter("edge");
                                 }
-                                micro_kernel(
-                                    cfg,
+                                producers.fill(
                                     p,
+                                    (kh0, kh_cnt),
+                                    (kw0, kw_cnt),
+                                    ih0,
+                                    rbh_cur,
+                                    iw0,
+                                    rbw_cur,
+                                );
+                                micro_kernel(MicroArgs {
                                     core,
                                     arena,
                                     src_diff,
-                                    wei,
                                     dst_diff,
+                                    taps: &taps,
+                                    producers: &producers,
                                     n,
-                                    icv,
-                                    icv * vl_max,
+                                    c0: icv * vl_max,
                                     vl,
-                                    lanes,
-                                    oc0,
-                                    oc_cnt,
-                                    kh0,
-                                    kh_cnt,
-                                    kw0,
-                                    kw_cnt,
                                     ih0,
                                     rbh_cur,
                                     iw0,
@@ -99,9 +109,7 @@ pub fn run(
                                     first_pass,
                                     wslot0,
                                     wbuf,
-                                    oh,
-                                    ow,
-                                );
+                                });
                                 if edge {
                                     core.region_exit();
                                 }
@@ -141,26 +149,72 @@ pub(crate) fn producer(
     (o < olen).then_some(o)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel(
-    _cfg: &KernelConfig,
-    p: &ConvProblem,
-    core: &mut VCore,
-    arena: &mut Arena,
-    src_diff: &ActTensor,
-    wei: &WeiTensor,
-    dst_diff: &ActTensor,
+/// The producing output rows and columns of one register block:
+/// `rows[(kh - kh0) * rbh + h]` is the output row feeding input row
+/// `ih0 + h` through kernel row `kh` (see [`producer`]), `cols` likewise.
+/// Built once per micro-kernel so its FMAs never divide by the stride.
+#[derive(Default)]
+struct Producers {
+    kh0: usize,
+    kw0: usize,
+    rows: Vec<Option<u64>>,
+    cols: Vec<Option<u64>>,
+}
+
+impl Producers {
+    #[allow(clippy::too_many_arguments)]
+    fn fill(
+        &mut self,
+        p: &ConvProblem,
+        (kh0, kh_cnt): (usize, usize),
+        (kw0, kw_cnt): (usize, usize),
+        ih0: usize,
+        rbh: usize,
+        iw0: usize,
+        rbw: usize,
+    ) {
+        let (oh, ow) = (p.oh(), p.ow());
+        (self.kh0, self.kw0) = (kh0, kw0);
+        self.rows.clear();
+        self.cols.clear();
+        for kh in kh0..kh0 + kh_cnt {
+            self.rows.extend(
+                (ih0..ih0 + rbh)
+                    .map(|i| producer(i, kh, p.pad_h, p.stride_h, oh).map(|o| o as u64)),
+            );
+        }
+        for kw in kw0..kw0 + kw_cnt {
+            self.cols.extend(
+                (iw0..iw0 + rbw)
+                    .map(|i| producer(i, kw, p.pad_w, p.stride_w, ow).map(|o| o as u64)),
+            );
+        }
+    }
+
+    /// The producing rows of kernel row `kh` for the `rbh` block rows.
+    fn rows(&self, kh: usize, rbh: usize) -> &[Option<u64>] {
+        let k = kh - self.kh0;
+        &self.rows[k * rbh..(k + 1) * rbh]
+    }
+
+    /// The producing columns of kernel column `kw` for the `rbw` block
+    /// columns.
+    fn cols(&self, kw: usize, rbw: usize) -> &[Option<u64>] {
+        let k = kw - self.kw0;
+        &self.cols[k * rbw..(k + 1) * rbw]
+    }
+}
+
+struct MicroArgs<'a, 'b> {
+    core: &'b mut VCore,
+    arena: &'b mut Arena,
+    src_diff: &'a ActTensor,
+    dst_diff: &'a ActTensor,
+    taps: &'a [Tap],
+    producers: &'a Producers,
     n: usize,
-    icv: usize,
     c0: usize,
     vl: usize,
-    lanes: usize,
-    oc0: usize,
-    oc_cnt: usize,
-    kh0: usize,
-    kh_cnt: usize,
-    kw0: usize,
-    kw_cnt: usize,
     ih0: usize,
     rbh_cur: usize,
     iw0: usize,
@@ -168,66 +222,65 @@ fn micro_kernel(
     first_pass: bool,
     wslot0: usize,
     wbuf: usize,
-    oh: usize,
-    ow: usize,
-) {
+}
+
+fn micro_kernel(a: MicroArgs<'_, '_>) {
+    let MicroArgs {
+        core,
+        arena,
+        src_diff,
+        dst_diff,
+        taps,
+        producers,
+        n,
+        c0,
+        vl,
+        ih0,
+        rbh_cur,
+        iw0,
+        rbw_cur,
+        first_pass,
+        wslot0,
+        wbuf,
+    } = a;
+    let acc_origin = [n, c0, ih0, iw0];
+
     // --- accumulators over the S_diff register block.
     core.region_enter("acc_init");
-    for h in 0..rbh_cur {
-        for w in 0..rbw_cur {
-            let reg = h * rbw_cur + w;
-            if first_pass {
-                core.vbroadcast_zero(reg, lanes);
-            } else {
-                load_act_vec(core, arena, src_diff, n, c0, ih0 + h, iw0 + w, vl, reg);
-            }
-        }
-    }
+    init_acc_block(
+        core, arena, src_diff, acc_origin, rbh_cur, rbw_cur, vl, first_pass,
+    );
     core.region_exit();
 
     // --- inner loop over (kh, kw, oc_i) with software-pipelined weight loads.
     core.region_enter("inner_loop");
-    let total = kh_cnt * kw_cnt * oc_cnt;
+    let total = taps.len();
     let lookahead = (wbuf - 1).min(total);
-    // wei is role-swapped: "oc" slot indexes IC blocks, "ic" slot indexes OC.
-    let w_addr = |j: usize| -> u64 {
-        let o = j % oc_cnt;
-        let r = j / oc_cnt;
-        let kwi = r % kw_cnt;
-        let khi = r / kw_cnt;
-        wei.oc_vector_at(icv, oc0 + o, kh0 + khi, kw0 + kwi)
-    };
-    for j in 0..lookahead {
+    for (j, tap) in taps.iter().take(lookahead).enumerate() {
         core.scalar_op();
-        core.vload(arena, wslot0 + j % wbuf, w_addr(j), vl);
+        core.vload(arena, wslot0 + j % wbuf, tap.w_addr, vl);
     }
-    for j in 0..total {
-        if j + lookahead < total {
+    let (h_step, w_step) = (dst_diff.h_step(), dst_diff.w_step());
+    for (j, tap) in taps.iter().enumerate() {
+        if let Some(ahead) = taps.get(j + lookahead) {
             core.scalar_op();
-            core.vload(
-                arena,
-                wslot0 + (j + lookahead) % wbuf,
-                w_addr(j + lookahead),
-                vl,
-            );
+            core.vload(arena, wslot0 + (j + lookahead) % wbuf, ahead.w_addr, vl);
         }
         let wreg = wslot0 + j % wbuf;
-        let o = j % oc_cnt;
-        let r = j / oc_cnt;
-        let kw = kw0 + r % kw_cnt;
-        let kh = kh0 + r / kw_cnt;
-        let oc = oc0 + o;
-        for h in 0..rbh_cur {
-            let Some(oy) = producer(ih0 + h, kh, p.pad_h, p.stride_h, oh) else {
+        let cols = producers.cols(tap.kw, rbw_cur);
+        for (h, &oy) in producers.rows(tap.kh, rbh_cur).iter().enumerate() {
+            let Some(oy) = oy else {
                 continue;
             };
-            for w in 0..rbw_cur {
-                let Some(ox) = producer(iw0 + w, kw, p.pad_w, p.stride_w, ow) else {
+            let row = tap.a_base + oy * h_step;
+            for (w, &ox) in cols.iter().enumerate() {
+                let Some(ox) = ox else {
                     continue;
                 };
                 let reg = h * rbw_cur + w;
                 core.scalar_op(); // D_diff pointer update
-                let d_addr = dst_diff.at(n, oc, oy, ox);
+                let d_addr = row + ox * w_step;
+                debug_assert_eq!(d_addr, dst_diff.at(n, tap.c, oy as usize, ox as usize));
                 let dv = core.scalar_load(arena, d_addr);
                 core.vfma_bcast(reg, wreg, dv, vl);
             }
@@ -238,12 +291,7 @@ fn micro_kernel(
 
     // --- write partial S_diff sums back.
     core.region_enter("acc_store");
-    for h in 0..rbh_cur {
-        for w in 0..rbw_cur {
-            let reg = h * rbw_cur + w;
-            store_act_vec(core, arena, src_diff, n, c0, ih0 + h, iw0 + w, vl, reg);
-        }
-    }
+    store_acc_block(core, arena, src_diff, acc_origin, rbh_cur, rbw_cur, vl);
     core.region_exit();
 }
 

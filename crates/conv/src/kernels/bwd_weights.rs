@@ -39,7 +39,6 @@ pub fn run(
     n_range: Range<usize>,
 ) {
     core.region_enter("bwd_weights");
-    let (oh, ow) = (p.oh(), p.ow());
     let vl_max = cfg.vl;
     let (c_vec, c_small) = if cfg.vec_over_ic {
         (p.ic, p.oc)
@@ -56,6 +55,8 @@ pub fn run(
     } else {
         (dst_diff, src)
     };
+    let mut points: Vec<Point> = Vec::new();
+    let mut sca_bases: Vec<u64> = Vec::with_capacity(rb_c);
 
     for cvb in 0..vec_blocks {
         core.scalar_ops(2);
@@ -79,24 +80,21 @@ pub fn run(
                     }
                     core.region_exit();
                     core.region_enter("inner_loop");
+                    // One enumeration of the tap's points serves every image.
+                    valid_points(&mut points, cfg, p, vec_t, sca_t, kh, kw);
                     for n in n_range.clone() {
                         core.scalar_ops(2);
+                        sca_bases.clear();
+                        sca_bases.extend((cs0..cs0 + rb_cur).map(|c| sca_t.at(n, c, 0, 0)));
                         sweep_spatial(
-                            cfg,
-                            p,
                             core,
                             arena,
-                            vec_t,
-                            sca_t,
-                            n,
-                            cvb * vl_max,
+                            (vec_t, sca_t),
+                            (n, cvb * vl_max, cs0),
+                            vec_t.at(n, cvb * vl_max, 0, 0),
+                            &sca_bases,
+                            &points,
                             vl,
-                            cs0,
-                            rb_cur,
-                            kh,
-                            kw,
-                            oh,
-                            ow,
                             vbuf0,
                             vbuf,
                         );
@@ -119,32 +117,34 @@ pub fn run(
     core.region_exit(); // bwd_weights
 }
 
-/// The spatial reduction sweep for one (kh, kw) tap of one image: per valid
-/// output point, one vector load of the vectorized activations and `rb_cur`
-/// scalar-load + FMA pairs.
-#[allow(clippy::too_many_arguments)]
-fn sweep_spatial(
+/// One valid output point of a `(kh, kw)` tap, as byte offsets from the
+/// `(h, w) = (0, 0)` element of a channel: `vec_off` into the vectorized
+/// tensor and `sca_off` into the scalar one.
+struct Point {
+    vec_off: u64,
+    sca_off: u64,
+    /// The `(h, w)` coordinates the offsets stand for (checked in debug
+    /// builds).
+    vec_yx: (usize, usize),
+    sca_yx: (usize, usize),
+}
+
+/// Enumerate the valid `(oy, ox)` points of one `(kh, kw)` tap (the JIT
+/// peels padding rows) with their offsets: the vectorized tensor is indexed
+/// by `(ih, iw)` when it is `S`, by `(oy, ox)` when it is `D_diff`, and the
+/// scalar tensor by the other pair.
+fn valid_points(
+    points: &mut Vec<Point>,
     cfg: &KernelConfig,
     p: &ConvProblem,
-    core: &mut VCore,
-    arena: &mut Arena,
     vec_t: &ActTensor,
     sca_t: &ActTensor,
-    n: usize,
-    c0: usize,
-    vl: usize,
-    cs0: usize,
-    rb_cur: usize,
     kh: usize,
     kw: usize,
-    oh: usize,
-    ow: usize,
-    vbuf0: usize,
-    vbuf: usize,
 ) {
-    // Enumerate the valid (oy, ox) points once so the vector loads can be
-    // software-pipelined one step ahead (the JIT peels padding rows).
-    let mut points: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(oh * ow);
+    let (oh, ow) = (p.oh(), p.ow());
+    let off = |t: &ActTensor, y: usize, x: usize| y as u64 * t.h_step() + x as u64 * t.w_step();
+    points.clear();
     for oy in 0..oh {
         let ih = (oy * p.stride_h + kh) as isize - p.pad_h as isize;
         if ih < 0 || ih >= p.ih as isize {
@@ -155,45 +155,68 @@ fn sweep_spatial(
             if iw < 0 || iw >= p.iw as isize {
                 continue;
             }
-            points.push((oy, ox, ih as usize, iw as usize));
+            let (ih, iw) = (ih as usize, iw as usize);
+            let (vec_yx, sca_yx) = if cfg.vec_over_ic {
+                ((ih, iw), (oy, ox))
+            } else {
+                ((oy, ox), (ih, iw))
+            };
+            points.push(Point {
+                vec_off: off(vec_t, vec_yx.0, vec_yx.1),
+                sca_off: off(sca_t, sca_yx.0, sca_yx.1),
+                vec_yx,
+                sca_yx,
+            });
         }
     }
-    let vec_coord = |pt: (usize, usize, usize, usize)| -> (usize, usize) {
-        if cfg.vec_over_ic {
-            (pt.2, pt.3) // S is vectorized: index by (ih, iw)
-        } else {
-            (pt.0, pt.1) // D_diff is vectorized: index by (oy, ox)
-        }
+}
+
+/// The spatial reduction sweep for one (kh, kw) tap of one image: per valid
+/// output point, one vector load of the vectorized activations (from
+/// `vec_base + vec_off`, software-pipelined one step ahead) and one
+/// scalar-load + FMA pair per accumulator `c` (from
+/// `sca_bases[c] + sca_off`). `sca_bases[c]` is `sca_t.at(n, cs0 + c, 0, 0)`
+/// and `vec_base` is `vec_t.at(n, c0, 0, 0)`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_spatial(
+    core: &mut VCore,
+    arena: &mut Arena,
+    (vec_t, sca_t): (&ActTensor, &ActTensor),
+    (n, c0, cs0): (usize, usize, usize),
+    vec_base: u64,
+    sca_bases: &[u64],
+    points: &[Point],
+    vl: usize,
+    vbuf0: usize,
+    vbuf: usize,
+) {
+    let vec_addr = |pt: &Point| {
+        let a = vec_base + pt.vec_off;
+        debug_assert_eq!(a, vec_t.at(n, c0, pt.vec_yx.0, pt.vec_yx.1));
+        a
     };
     let lookahead = (vbuf - 1).min(points.len());
-    for (j, &pt) in points.iter().take(lookahead).enumerate() {
-        let (y, x) = vec_coord(pt);
+    for (j, pt) in points.iter().take(lookahead).enumerate() {
         core.scalar_op();
-        load_act_vec(core, arena, vec_t, n, c0, y, x, vl, vbuf0 + j % vbuf);
+        load_act_vec(core, arena, vec_t, vec_addr(pt), vl, vbuf0 + j % vbuf);
     }
-    for (j, &pt) in points.iter().enumerate() {
-        if j + lookahead < points.len() {
-            let (y, x) = vec_coord(points[j + lookahead]);
+    for (j, pt) in points.iter().enumerate() {
+        if let Some(ahead) = points.get(j + lookahead) {
             core.scalar_op();
             load_act_vec(
                 core,
                 arena,
                 vec_t,
-                n,
-                c0,
-                y,
-                x,
+                vec_addr(ahead),
                 vl,
                 vbuf0 + (j + lookahead) % vbuf,
             );
         }
         let vreg = vbuf0 + j % vbuf;
-        let (oy, ox, ih, iw) = pt;
-        // Scalar coordinates on the non-vectorized tensor.
-        let (sy, sx) = if cfg.vec_over_ic { (oy, ox) } else { (ih, iw) };
-        for c in 0..rb_cur {
+        for (c, &base) in sca_bases.iter().enumerate() {
             core.scalar_op(); // scalar pointer bump
-            let addr = sca_t.at(n, cs0 + c, sy, sx);
+            let addr = base + pt.sca_off;
+            debug_assert_eq!(addr, sca_t.at(n, cs0 + c, pt.sca_yx.0, pt.sca_yx.1));
             let sv = core.scalar_load(arena, addr);
             core.vfma_bcast(c, vreg, sv, vl);
         }

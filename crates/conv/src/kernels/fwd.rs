@@ -3,7 +3,7 @@
 //! tensor moves via unit-stride vector ops or coarse-grain gather/scatter,
 //! which the shared activation-vector access helpers dispatch on).
 
-use super::{act_vec_lanes, load_act_vec, store_act_vec};
+use super::{fill_taps, init_acc_block, store_acc_block, Tap};
 use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
 use lsv_tensor::{ActTensor, WeiTensor};
@@ -38,13 +38,13 @@ pub fn run(
     let kh_blocks = p.kh.div_ceil(tile.kh_i);
     let kw_blocks = p.kw.div_ceil(tile.kw_i);
     let ic_chunks = p.ic.div_ceil(tile.c_i);
+    let mut taps: Vec<Tap> = Vec::new();
 
     for n in n_range {
         core.scalar_ops(2);
         for ocv in 0..oc_vblocks {
             core.scalar_ops(2);
             let vl = vl_max.min(p.oc - ocv * vl_max);
-            let lanes = act_vec_lanes(dst, vl);
             for icc in 0..ic_chunks {
                 core.scalar_ops(2);
                 let ic0 = icc * tile.c_i;
@@ -57,6 +57,16 @@ pub fn run(
                         let kw0 = kwb * tile.kw_i;
                         let kw_cnt = tile.kw_i.min(p.kw - kw0);
                         let first_pass = icc == 0 && khb == 0 && kwb == 0;
+                        fill_taps(
+                            &mut taps,
+                            src,
+                            wei,
+                            n,
+                            ocv,
+                            (ic0, ic_cnt),
+                            (kh0, kh_cnt),
+                            (kw0, kw_cnt),
+                        );
                         core.scalar_ops(2);
                         let mut oh0 = 0;
                         while oh0 < oh {
@@ -74,19 +84,11 @@ pub fn run(
                                     core,
                                     arena,
                                     src,
-                                    wei,
                                     dst,
+                                    taps: &taps,
                                     n,
-                                    ocv,
                                     c0: ocv * vl_max,
                                     vl,
-                                    lanes,
-                                    ic0,
-                                    ic_cnt,
-                                    kh0,
-                                    kh_cnt,
-                                    kw0,
-                                    kw_cnt,
                                     oh0,
                                     rbh_cur,
                                     ow0,
@@ -116,19 +118,11 @@ struct MicroArgs<'a, 'b> {
     core: &'b mut VCore,
     arena: &'b mut Arena,
     src: &'a ActTensor,
-    wei: &'a WeiTensor,
     dst: &'a ActTensor,
+    taps: &'a [Tap],
     n: usize,
-    ocv: usize,
     c0: usize,
     vl: usize,
-    lanes: usize,
-    ic0: usize,
-    ic_cnt: usize,
-    kh0: usize,
-    kh_cnt: usize,
-    kw0: usize,
-    kw_cnt: usize,
     oh0: usize,
     rbh_cur: usize,
     ow0: usize,
@@ -147,19 +141,11 @@ fn micro_kernel(a: MicroArgs<'_, '_>) {
         core,
         arena,
         src,
-        wei,
         dst,
+        taps,
         n,
-        ocv,
         c0,
         vl,
-        lanes,
-        ic0,
-        ic_cnt,
-        kh0,
-        kh_cnt,
-        kw0,
-        kw_cnt,
         oh0,
         rbh_cur,
         ow0,
@@ -168,63 +154,46 @@ fn micro_kernel(a: MicroArgs<'_, '_>) {
         wslot0,
         wbuf,
     } = a;
+    let acc_origin = [n, c0, oh0, ow0];
 
     // --- accumulator init: zero on the first accumulation pass, otherwise
     //     reload the partial sums from D.
     core.region_enter("acc_init");
-    for h in 0..rbh_cur {
-        for w in 0..rbw_cur {
-            let reg = h * rbw_cur + w;
-            if first_pass {
-                core.vbroadcast_zero(reg, lanes);
-            } else {
-                load_act_vec(core, arena, dst, n, c0, oh0 + h, ow0 + w, vl, reg);
-            }
-        }
-    }
+    init_acc_block(
+        core, arena, dst, acc_origin, rbh_cur, rbw_cur, vl, first_pass,
+    );
     core.region_exit();
 
     // --- inner loop over (kh, kw, ic_i), flattened for weight prefetch.
     core.region_enter("inner_loop");
-    let total = kh_cnt * kw_cnt * ic_cnt;
+    let total = taps.len();
     let lookahead = (wbuf - 1).min(total);
-    let w_addr = |j: usize| -> u64 {
-        let i = j % ic_cnt;
-        let r = j / ic_cnt;
-        let kwi = r % kw_cnt;
-        let khi = r / kw_cnt;
-        wei.oc_vector_at(ocv, ic0 + i, kh0 + khi, kw0 + kwi)
-    };
-    for j in 0..lookahead {
+    for (j, tap) in taps.iter().take(lookahead).enumerate() {
         core.scalar_op();
-        core.vload(arena, wslot0 + j % wbuf, w_addr(j), vl);
+        core.vload(arena, wslot0 + j % wbuf, tap.w_addr, vl);
     }
-    for j in 0..total {
-        if j + lookahead < total {
+    let (h_step, w_step) = (src.h_step(), src.w_step());
+    for (j, tap) in taps.iter().enumerate() {
+        if let Some(ahead) = taps.get(j + lookahead) {
             core.scalar_op(); // weight pointer bump
-            core.vload(
-                arena,
-                wslot0 + (j + lookahead) % wbuf,
-                w_addr(j + lookahead),
-                vl,
-            );
+            core.vload(arena, wslot0 + (j + lookahead) % wbuf, ahead.w_addr, vl);
         }
         let wreg = wslot0 + j % wbuf;
-        let i = j % ic_cnt;
-        let r = j / ic_cnt;
-        let kw = kw0 + r % kw_cnt;
-        let kh = kh0 + r / kw_cnt;
-        let ic = ic0 + i;
         for h in 0..rbh_cur {
-            let ih = ((oh0 + h) * p.stride_h + kh) as isize - p.pad_h as isize;
+            let ih = ((oh0 + h) * p.stride_h + tap.kh) as isize - p.pad_h as isize;
+            if ih < 0 || ih >= p.ih as isize {
+                continue; // zero-padding row: the JIT emits no code here
+            }
+            let row = tap.a_base + ih as u64 * h_step;
             for w in 0..rbw_cur {
-                let iw = ((ow0 + w) * p.stride_w + kw) as isize - p.pad_w as isize;
-                if ih < 0 || ih >= p.ih as isize || iw < 0 || iw >= p.iw as isize {
-                    continue; // zero-padding tap: the JIT emits no code here
+                let iw = ((ow0 + w) * p.stride_w + tap.kw) as isize - p.pad_w as isize;
+                if iw < 0 || iw >= p.iw as isize {
+                    continue; // zero-padding tap
                 }
                 let reg = h * rbw_cur + w;
                 core.scalar_op(); // source pointer update (B_seq filler #1)
-                let s_addr = src.at(n, ic, ih as usize, iw as usize);
+                let s_addr = row + iw as u64 * w_step;
+                debug_assert_eq!(s_addr, src.at(n, tap.c, ih as usize, iw as usize));
                 let sv = core.scalar_load(arena, s_addr); // B_seq filler #2
                 core.vfma_bcast(reg, wreg, sv, vl);
             }
@@ -235,11 +204,6 @@ fn micro_kernel(a: MicroArgs<'_, '_>) {
 
     // --- write the partial sums back (Algorithm 2 line 19).
     core.region_enter("acc_store");
-    for h in 0..rbh_cur {
-        for w in 0..rbw_cur {
-            let reg = h * rbw_cur + w;
-            store_act_vec(core, arena, dst, n, c0, oh0 + h, ow0 + w, vl, reg);
-        }
-    }
+    store_acc_block(core, arena, dst, acc_origin, rbh_cur, rbw_cur, vl);
     core.region_exit();
 }

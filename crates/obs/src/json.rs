@@ -44,12 +44,23 @@ impl JsonValue {
     }
 }
 
-/// Parse a JSON document. Returns the value or a message with the byte
-/// offset of the first error. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level; the limit turns a pathological document (say 200 000
+/// `[`) into an error instead of a stack overflow. Every artifact the repo
+/// writes nests fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 256;
+
+/// Parse a JSON document (RFC 8259). Returns the value or a message with the
+/// byte offset of the first error. Beyond the grammar — which already rules
+/// out leading zeros such as `01`, a bare `1.` or `.5`, and trailing
+/// non-whitespace — the parser rejects what a schema gate must not let
+/// through: duplicate object keys, numbers that overflow to infinity
+/// (`1e999`; the repo writes non-finite values as `null`), and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -73,14 +84,20 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err("unexpected end of input".to_string());
     };
+    if matches!(c, b'{' | b'[') && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match c {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         b't' => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -104,21 +121,52 @@ fn parse_literal(
     }
 }
 
+/// `number = [ "-" ] ( "0" / [1-9] *DIGIT ) [ "." 1*DIGIT ] [ ("e" / "E") [ "+" / "-" ] 1*DIGIT ]`,
+/// and its value must be finite.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
+    let bad = || format!("invalid number at byte {start}");
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(bad()),
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(bad());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(bad());
+        }
+    }
+    if bytes.get(*pos).is_some_and(|b| b.is_ascii_digit()) {
+        return Err(format!("leading zero in number at byte {start}"));
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| bad())?;
+    let value: f64 = text.parse().map_err(|_| bad())?;
+    if !value.is_finite() {
+        return Err(format!("number out of range at byte {start}"));
+    }
+    Ok(JsonValue::Num(value))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -183,7 +231,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -192,7 +240,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -205,7 +253,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -215,9 +263,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
+        let key_at = *pos;
         let key = parse_string(bytes, pos)?;
+        if members.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate key {key:?} at byte {key_at}"));
+        }
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -334,6 +386,61 @@ mod tests {
         assert!(parse_json("[1, 2,]").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn rejects_leading_zeros_and_malformed_numbers() {
+        for bad in [
+            "01", "-01", "00", "[007]", "1.", ".5", "-", "1e", "1e+", "+1", "1.e3", "0x10", "--1",
+            "1.5.2",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad:?} must be rejected");
+        }
+        for (good, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("-0.25e1", -2.5),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("3e-2", 0.03),
+        ] {
+            assert_eq!(parse_json(good), Ok(JsonValue::Num(want)), "{good:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers() {
+        for bad in ["1e999", "-1e999", "[1, 2e400]", "{\"x\": 1.8e308}"] {
+            let err = parse_json(bad).unwrap_err();
+            assert!(err.contains("out of range"), "{bad:?}: {err}");
+        }
+        // Underflow to zero is finite and stays accepted.
+        assert_eq!(parse_json("1e-999"), Ok(JsonValue::Num(0.0)));
+    }
+
+    #[test]
+    fn rejects_duplicate_keys() {
+        let err = parse_json(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"a\""), "{err}");
+        assert!(
+            parse_json(r#"{"x": {"a": 1, "a": 1}}"#).is_err(),
+            "nested too"
+        );
+        // The same key in sibling objects is fine.
+        assert!(parse_json(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_limit_without_overflowing() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&deep(MAX_DEPTH)).is_ok());
+        let err = parse_json(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // 200 000 unclosed brackets used to overflow the stack.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&objects).is_err());
     }
 
     #[test]

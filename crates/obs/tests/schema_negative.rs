@@ -188,3 +188,42 @@ fn truncated_documents_are_parse_errors_not_passes() {
     let half = &SERVING_GOOD[..SERVING_GOOD.len() / 2];
     assert_rejected(validate_serving_json(half), &["not valid JSON"]);
 }
+
+#[test]
+fn strict_parser_rejections_reach_every_validator() {
+    // A leading zero, a duplicated key and an overflowing number are parse
+    // errors, so no validator can pass them on to the schema check.
+    let leading_zero = METRICS_GOOD.replace("\"value\": 12", "\"value\": 012");
+    assert_rejected(validate_metrics_json(&leading_zero), &["not valid JSON"]);
+    let duplicate = METRICS_GOOD.replace("\"version\": 1,", "\"version\": 1, \"version\": 2,");
+    assert_rejected(
+        validate_metrics_json(&duplicate),
+        &["not valid JSON", "duplicate key \"version\""],
+    );
+    let infinite = SERVING_GOOD.replace("\"peak_queue_depth\": 7", "\"peak_queue_depth\": 7e999");
+    assert_rejected(
+        validate_serving_json(&infinite),
+        &["not valid JSON", "out of range"],
+    );
+    let deep = TRACE_GOOD.replacen('[', &"[".repeat(100_000), 1);
+    assert_rejected(
+        validate_serving_trace_json(&deep),
+        &["not valid JSON", "nesting"],
+    );
+}
+
+/// Every JSON artifact the repository commits still passes the strict
+/// parser and its schema.
+#[test]
+fn committed_artifacts_validate() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    validate_serving_json(&read("results/BENCH_serving.json")).expect("BENCH_serving.json");
+    lsv_obs::validate_lint_json(&read("results/lint.json")).expect("lint.json");
+    lsv_obs::validate_profile_json(&read("tests/fixtures/profile_smoke.json"))
+        .expect("profile_smoke.json");
+    lsv_obs::parse_json(&read("tests/fixtures/profile_smoke.trace.json"))
+        .expect("profile_smoke.trace.json");
+}

@@ -164,6 +164,29 @@ impl ActTensor {
         self.base + (idx as u64) * 4
     }
 
+    /// Byte step from `(n, c, h, w)` to `(n, c, h, w + 1)`. With
+    /// [`ActTensor::h_step`] and [`ActTensor::cblock_step`] this makes
+    /// [`ActTensor::at`] affine in `h`, `w` and the channel block, so kernels
+    /// compute one base per channel and step from it instead of paying the
+    /// divisions of `at` on every element.
+    #[inline]
+    pub fn w_step(&self) -> u64 {
+        (self.layout.cb * 4) as u64
+    }
+
+    /// Byte step from `(n, c, h, w)` to `(n, c, h + 1, w)`.
+    #[inline]
+    pub fn h_step(&self) -> u64 {
+        (self.w * self.layout.cb * 4) as u64
+    }
+
+    /// Byte step from block `cblk` to block `cblk + 1` at the same
+    /// `(n, h, w)` (a coarse-grain gather's block spacing).
+    #[inline]
+    pub fn cblock_step(&self) -> u64 {
+        (self.h * self.w * self.layout.cb * 4) as u64
+    }
+
     /// Import from a logical NCHW host buffer (length `N*C*H*W`).
     pub fn store_nchw(&self, arena: &mut Arena, data: &[f32]) {
         assert_eq!(data.len(), self.elems(), "NCHW buffer length mismatch");
@@ -369,6 +392,31 @@ mod tests {
         // next spatial point is cb elements away (the Figure 3 stride!)
         assert_eq!(t.at(0, 0, 0, 1), t.at(0, 0, 0, 0) + (32 * 4) as u64);
         assert_eq!(t.block_at(0, 0, 0, 1), t.at(0, 0, 0, 1));
+    }
+
+    #[test]
+    fn steps_make_at_affine() {
+        let mut arena = Arena::new();
+        for cb in [1usize, 4, 7, 32] {
+            let t = ActTensor::alloc(&mut arena, 2, 9, 3, 5, ActivationLayout { cb });
+            for n in 0..t.n {
+                for c in 0..t.c {
+                    let base = t.at(n, c, 0, 0);
+                    for h in 0..t.h {
+                        for w in 0..t.w {
+                            let stepped = base + h as u64 * t.h_step() + w as u64 * t.w_step();
+                            assert_eq!(stepped, t.at(n, c, h, w), "cb={cb} ({n},{c},{h},{w})");
+                        }
+                    }
+                }
+                for blk in 0..t.c_blocks() {
+                    assert_eq!(
+                        t.block_at(n, 0, 1, 2) + blk as u64 * t.cblock_step(),
+                        t.block_at(n, blk, 1, 2)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

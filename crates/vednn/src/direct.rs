@@ -85,10 +85,24 @@ fn pad_at(pad_buf: u64, h_pad: usize, w_pad: usize, c: usize, y: usize, x: usize
     pad_buf + (((c * h_pad + y) * w_pad + x) * 4) as u64
 }
 
+/// One `(ci, ky, kx)` reduction tap of the spatial kernel, resolved once
+/// per image: its source vector starts `in_off` bytes past the register
+/// group's origin in the padded image, and output channel `co`'s weight is
+/// `w0 + co * wei_co_step`.
+struct Tap {
+    in_off: u64,
+    w0: u64,
+    ci: usize,
+    ky: usize,
+    kx: usize,
+}
+
 /// The shared spatial kernel: output `(C_out, OH, OW)`, reduction over
 /// `(C_in, KH, KW)` taps of a padded input image, `UNROLL_C` output-channel
 /// accumulators. `wei_at(co, ci, kh, kw)` supplies the scalar weight address
-/// (the bwd-data caller rotates the kernel and swaps roles here).
+/// (the bwd-data caller rotates the kernel and swaps roles here); it must be
+/// affine in `co` with step `wei_co_step`, so the FMAs step from one
+/// per-tap base instead of calling it.
 #[allow(clippy::too_many_arguments)]
 fn spatial_conv_image(
     core: &mut VCore,
@@ -103,6 +117,7 @@ fn spatial_conv_image(
     in_h: usize,
     in_w: usize,
     wei_at: &dyn Fn(usize, usize, usize, usize) -> u64,
+    wei_co_step: u64,
     out_at: &dyn Fn(usize, usize, usize) -> u64,
 ) {
     let nvlen = core.arch().n_vlen();
@@ -112,9 +127,24 @@ fn spatial_conv_image(
     } else {
         1
     };
-    let taps = c_in * kh * kw;
-    let lookahead = (VIN_BUFS - 1).min(taps);
+    // Taps in (ci, ky, kx) order, kx fastest.
+    let mut taps = Vec::with_capacity(c_in * kh * kw);
+    for ci in 0..c_in {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                taps.push(Tap {
+                    in_off: pad_at(0, in_h, in_w, ci, ky, kx),
+                    w0: wei_at(0, ci, ky, kx),
+                    ci,
+                    ky,
+                    kx,
+                });
+            }
+        }
+    }
+    let lookahead = (VIN_BUFS - 1).min(taps.len());
     let vin0 = UNROLL_C;
+    let row_bytes = (in_w * 4) as u64;
 
     let mut ocb = 0;
     while ocb < c_out {
@@ -129,37 +159,45 @@ fn spatial_conv_image(
                 for u in 0..uo {
                     core.vbroadcast_zero(u, vl);
                 }
-                let tap_addr = |j: usize| -> (usize, usize, usize, u64) {
-                    let ci = j / (kh * kw);
-                    let r = j % (kh * kw);
-                    let ky = r / kw;
-                    let kx = r % kw;
-                    let a = pad_at(in_buf, in_h, in_w, ci, rg + ky, cg + kx);
-                    (ci, ky, kx, a)
+                let origin = pad_at(in_buf, in_h, in_w, 0, rg, cg);
+                let tap_addr = |tap: &Tap| {
+                    let a = origin + tap.in_off;
+                    debug_assert_eq!(
+                        a,
+                        pad_at(in_buf, in_h, in_w, tap.ci, rg + tap.ky, cg + tap.kx)
+                    );
+                    a
                 };
-                for j in 0..lookahead {
-                    let (_, _, _, a) = tap_addr(j);
+                for (j, tap) in taps.iter().take(lookahead).enumerate() {
                     core.scalar_op();
-                    core.vload_rows(arena, vin0 + j % VIN_BUFS, a, ccur, (in_w * 4) as u64, rcur);
+                    core.vload_rows(
+                        arena,
+                        vin0 + j % VIN_BUFS,
+                        tap_addr(tap),
+                        ccur,
+                        row_bytes,
+                        rcur,
+                    );
                 }
-                for j in 0..taps {
-                    if j + lookahead < taps {
-                        let (_, _, _, a) = tap_addr(j + lookahead);
+                for (j, tap) in taps.iter().enumerate() {
+                    if let Some(ahead) = taps.get(j + lookahead) {
                         core.scalar_op();
                         core.vload_rows(
                             arena,
                             vin0 + (j + lookahead) % VIN_BUFS,
-                            a,
+                            tap_addr(ahead),
                             ccur,
-                            (in_w * 4) as u64,
+                            row_bytes,
                             rcur,
                         );
                     }
                     let vin = vin0 + j % VIN_BUFS;
-                    let (ci, ky, kx, _) = tap_addr(j);
+                    let w_blk = tap.w0 + ocb as u64 * wei_co_step;
                     for u in 0..uo {
                         core.scalar_op();
-                        let sv = core.scalar_load(arena, wei_at(ocb + u, ci, ky, kx));
+                        let w_addr = w_blk + u as u64 * wei_co_step;
+                        debug_assert_eq!(w_addr, wei_at(ocb + u, tap.ci, tap.ky, tap.kx));
+                        let sv = core.scalar_load(arena, w_addr);
                         core.vfma_bcast(u, vin, sv, vl);
                     }
                 }
@@ -240,6 +278,8 @@ pub fn run_fwd(
             ih_eff,
             iw_eff,
             &|co, ci, ky, kx| wei.at(co, ci, ky, kx),
+            // OIHW: consecutive output channels are IC*KH*KW apart
+            (p.ic * p.kh * p.kw * 4) as u64,
             &|co, y, x| dst.at(n, co, y, x),
         );
     }
@@ -308,6 +348,8 @@ pub fn run_bwd_data(
             iw_eff,
             // rotated kernel, swapped channel roles
             &|ci_out, co_in, ky, kx| wei.at(co_in, ci_out, kh - 1 - ky, kw - 1 - kx),
+            // OIHW: consecutive input channels are KH*KW apart
+            (kh * kw * 4) as u64,
             &|ci_out, y, x| src.at(n, ci_out, y, x),
         );
     }

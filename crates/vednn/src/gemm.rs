@@ -41,6 +41,39 @@ impl ColRef {
     }
 }
 
+/// `W[oc, k]` through the layout's own addressing, with `k` flattened as
+/// `(ic, kh, kw)`: the reference the stepped weight addresses are checked
+/// against in debug builds.
+fn wei_at(p: &ConvProblem, t: &VednnTensors, oc: usize, k: usize) -> u64 {
+    t.wei.at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw)
+}
+
+/// Position in the backward-weights GEMM's flattened `(m chunk, j)` loop,
+/// `j` fastest: chunk `mb..mb + vl` of column-matrix row `kb + j`.
+#[derive(Debug, Default)]
+struct ChunkCursor {
+    mb: usize,
+    j: usize,
+}
+
+impl ChunkCursor {
+    fn step(&mut self, u: usize, vl_max: usize) {
+        self.j += 1;
+        if self.j == u {
+            self.j = 0;
+            self.mb += vl_max;
+        }
+    }
+
+    fn vl(&self, m: usize, vl_max: usize) -> usize {
+        vl_max.min(m - self.mb)
+    }
+
+    fn col_addr(&self, col: &ColRef, kb: usize) -> u64 {
+        col.row(kb + self.j) + (self.mb * 4) as u64
+    }
+}
+
 /// Valid output-x range `[x0, x1)` of one (kw, row) tap, i.e. the `x` with
 /// `0 <= x*stride_w + kw - pad_w < IW`.
 fn valid_x_range(p: &ConvProblem, kw: usize) -> (usize, usize) {
@@ -84,7 +117,9 @@ fn im2col(
         m,
     };
     let nvlen = core.arch().n_vlen();
+    let h_step = t.src.h_step();
     for ic in 0..p.ic {
+        let src_ch = t.src.at(n, ic, 0, 0);
         for kh in 0..p.kh {
             for kw in 0..p.kw {
                 let k = (ic * p.kh + kh) * p.kw + kw;
@@ -102,7 +137,8 @@ fn im2col(
                     }
                     if x1 > x0 {
                         let iw0 = x0 * p.stride_w + kw - p.pad_w;
-                        let from = t.src.at(n, ic, ihy, iw0);
+                        let from = src_ch + ihy as u64 * h_step + (iw0 * 4) as u64;
+                        debug_assert_eq!(from, t.src.at(n, ic, ihy, iw0));
                         if p.stride_w == 1 {
                             copy_chunked(
                                 core,
@@ -153,6 +189,8 @@ fn gemm_fwd_image(
     let nvlen = core.arch().n_vlen();
     let vl_max = col.m.min(nvlen);
     let vin0 = RB_GEMM;
+    // OIHW weights: W[oc, k] sits at `wei.base + (oc * K + k) * 4`.
+    let w_oc_step = (col.k * 4) as u64;
     let mut mb = 0;
     while mb < col.m {
         let vl = vl_max.min(col.m - mb);
@@ -178,18 +216,19 @@ fn gemm_fwd_image(
                     );
                 }
                 let vin = vin0 + k % VBUFS;
+                let w_k = t.wei.base + ((ocb * col.k + k) * 4) as u64;
                 for j in 0..u {
                     core.scalar_op();
-                    let w = core.scalar_load(
-                        arena,
-                        t.wei
-                            .at(ocb + j, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
-                    );
+                    let w_addr = w_k + j as u64 * w_oc_step;
+                    debug_assert_eq!(w_addr, wei_at(p, t, ocb + j, k));
+                    let w = core.scalar_load(arena, w_addr);
                     core.vfma_bcast(j, vin, w, vl);
                 }
             }
+            let d_img = t.dst.at(n, 0, 0, 0);
             for j in 0..u {
-                let out = t.dst.at(n, ocb + j, 0, 0) + (mb * 4) as u64;
+                let out = d_img + (((ocb + j) * col.m + mb) * 4) as u64;
+                debug_assert_eq!(out, t.dst.at(n, ocb + j, 0, 0) + (mb * 4) as u64);
                 core.vstore(arena, j, out, vl);
             }
             ocb += RB_GEMM;
@@ -246,6 +285,7 @@ pub fn run_bwd_data(
     };
     for n in n_range {
         core.scalar_ops(2);
+        let d_img = t.dst.at(n, 0, 0, 0);
         // --- col_diff[k, m] = sum_oc W[oc, k] * D[oc, m]
         let mut mb = 0;
         while mb < m {
@@ -257,7 +297,11 @@ pub fn run_bwd_data(
                     core.vbroadcast_zero(j, vl);
                 }
                 let lookahead = (VBUFS - 1).min(p.oc);
-                let d_row = |oc: usize| t.dst.at(n, oc, 0, 0) + (mb * 4) as u64;
+                let d_row = |oc: usize| {
+                    let a = d_img + ((oc * m + mb) * 4) as u64;
+                    debug_assert_eq!(a, t.dst.at(n, oc, 0, 0) + (mb * 4) as u64);
+                    a
+                };
                 for oc in 0..lookahead {
                     core.scalar_op();
                     core.vload(arena, vin0 + oc % VBUFS, d_row(oc), vl);
@@ -273,13 +317,13 @@ pub fn run_bwd_data(
                         );
                     }
                     let vin = vin0 + oc % VBUFS;
+                    // W[oc, kb..kb + u] is contiguous in OIHW.
+                    let w_row = t.wei.base + ((oc * k_total + kb) * 4) as u64;
                     for j in 0..u {
-                        let k = kb + j;
                         core.scalar_op();
-                        let w = core.scalar_load(
-                            arena,
-                            t.wei.at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
-                        );
+                        let w_addr = w_row + (j * 4) as u64;
+                        debug_assert_eq!(w_addr, wei_at(p, t, oc, kb + j));
+                        let w = core.scalar_load(arena, w_addr);
                         core.vfma_bcast(j, vin, w, vl);
                     }
                 }
@@ -293,7 +337,9 @@ pub fn run_bwd_data(
         // --- zero S_diff[n], then col2im scatter-add.
         let img = t.src.at(n, 0, 0, 0);
         zero_chunked(core, arena, img, p.ic * p.ih * p.iw, zreg);
+        let h_step = t.src.h_step();
         for ic in 0..p.ic {
+            let src_ch = t.src.at(n, ic, 0, 0);
             for kh in 0..p.kh {
                 for kw in 0..p.kw {
                     let k = (ic * p.kh + kh) * p.kw + kw;
@@ -309,7 +355,8 @@ pub fn run_bwd_data(
                         let ihy = ihy as usize;
                         let col_row = col.row(k) + ((oy * ow + x0) * 4) as u64;
                         let iw0 = x0 * p.stride_w + kw - p.pad_w;
-                        let s_row = t.src.at(n, ic, ihy, iw0);
+                        let s_row = src_ch + ihy as u64 * h_step + (iw0 * 4) as u64;
+                        debug_assert_eq!(s_row, t.src.at(n, ic, ihy, iw0));
                         let seg = x1 - x0;
                         let mut off = 0usize;
                         while off < seg {
@@ -361,10 +408,12 @@ pub fn run_bwd_weights(
     // Zero the output gradient tensor so the per-image RMW accumulation
     // starts clean (and the kernel stays idempotent per invocation).
     zero_chunked(core, arena, t.wei.base, t.wei.elems_padded(), zreg);
+    let m_chunks = m.div_ceil(vl_max);
     for n in n_range {
         core.scalar_ops(2);
         let col = im2col(p, core, arena, t, n, zreg, creg0);
         for oc in 0..p.oc {
+            let d_row = t.dst.at(n, oc, 0, 0);
             let mut kb = 0;
             while kb < k_total {
                 let u = RB_GEMM.min(k_total - kb);
@@ -373,47 +422,46 @@ pub fn run_bwd_weights(
                 }
                 // Flatten the (mb, j) iteration space so the column loads
                 // can be pipelined VBUFS_BWDW-deep across chunk boundaries.
-                let m_chunks = m.div_ceil(vl_max);
+                // Two cursors walk it, the prefetch one `lookahead` steps
+                // ahead, so no step divides by `u`.
                 let total = m_chunks * u;
-                let coord = |i: usize| -> (usize, usize, usize) {
-                    let mbi = i / u;
-                    let j = i % u;
-                    let mb = mbi * vl_max;
-                    (mb, vl_max.min(m - mb), j)
-                };
+                let mut ahead = ChunkCursor::default();
                 let lookahead = (VBUFS_BWDW - 1).min(total);
                 for i in 0..lookahead {
-                    let (mb, vl, j) = coord(i);
                     core.scalar_op();
                     core.vload(
                         arena,
                         creg0 + i % VBUFS_BWDW,
-                        col.row(kb + j) + (mb * 4) as u64,
-                        vl,
+                        ahead.col_addr(&col, kb),
+                        ahead.vl(m, vl_max),
                     );
+                    ahead.step(u, vl_max);
                 }
+                let mut cur = ChunkCursor::default();
                 for i in 0..total {
                     if i + lookahead < total {
-                        let (mb, vl, j) = coord(i + lookahead);
                         core.scalar_op();
                         core.vload(
                             arena,
                             creg0 + (i + lookahead) % VBUFS_BWDW,
-                            col.row(kb + j) + (mb * 4) as u64,
-                            vl,
+                            ahead.col_addr(&col, kb),
+                            ahead.vl(m, vl_max),
                         );
+                        ahead.step(u, vl_max);
                     }
-                    let (mb, vl, j) = coord(i);
-                    if j == 0 {
+                    let vl = cur.vl(m, vl_max);
+                    if cur.j == 0 {
                         core.scalar_op();
-                        core.vload(arena, dreg, t.dst.at(n, oc, 0, 0) + (mb * 4) as u64, vl);
+                        core.vload(arena, dreg, d_row + (cur.mb * 4) as u64, vl);
                     }
-                    core.vfma_vv(j, dreg, creg0 + i % VBUFS_BWDW, vl);
+                    core.vfma_vv(cur.j, dreg, creg0 + i % VBUFS_BWDW, vl);
+                    cur.step(u, vl_max);
                 }
+                let w_row = t.wei.base + ((oc * k_total + kb) * 4) as u64;
                 for j in 0..u {
-                    let k = kb + j;
                     let sum = core.vreduce_sum(j, vl_max);
-                    let addr = t.wei.at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw);
+                    let addr = w_row + (j * 4) as u64;
+                    debug_assert_eq!(addr, wei_at(p, t, oc, kb + j));
                     let old = core.scalar_load(arena, addr);
                     core.scalar_op();
                     core.scalar_store(arena, addr, old.value + sum.value);

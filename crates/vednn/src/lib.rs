@@ -168,14 +168,20 @@ impl VednnConv {
     }
 
     /// The uncached chooser probe: simulate every supported family on one
-    /// image and return the fastest.
+    /// image and return the fastest. A problem only one family supports
+    /// (bwdw, strided, or backward-data with `pad >= k`: Im2colGemm alone)
+    /// returns that family without simulating — the probe could pick
+    /// nothing else.
     fn probe_best(arch: &ArchParams, problem: &ConvProblem, direction: Direction) -> VednnAlgo {
-        let candidates = [VednnAlgo::DirectSpatial, VednnAlgo::Im2colGemm];
+        let candidates: Vec<VednnAlgo> = [VednnAlgo::DirectSpatial, VednnAlgo::Im2colGemm]
+            .into_iter()
+            .filter(|algo| algo.supports(problem, direction))
+            .collect();
+        if let [only] = candidates[..] {
+            return only;
+        }
         let mut best: Option<(u64, VednnAlgo)> = None;
         for algo in candidates {
-            if !algo.supports(problem, direction) {
-                continue;
-            }
             let probe = Self::with_algo(arch, problem.with_minibatch(1), direction, algo);
             let mut arena = Arena::new();
             let t = probe.alloc_tensors(&mut arena);

@@ -290,6 +290,9 @@ pub struct VCore {
     /// Empty in [`ExecutionMode::TimingOnly`]. One allocation for the whole
     /// file — per-instruction paths only ever borrow slices of it.
     vregs: Vec<f32>,
+    /// `arch.vector_occupancy(vl)` for every legal `vl` (`0..=n_vlen`),
+    /// built once so no vector instruction divides by the lane count.
+    occupancy_table: Box<[u64]>,
     /// Reusable line-address buffer for the gather/scatter banking model
     /// (grown once, then recycled via `mem::take` on every call).
     line_scratch: Vec<u64>,
@@ -341,6 +344,7 @@ impl VCore {
             vpipe_last_start: 0,
             vlen: n_vlen,
             vregs,
+            occupancy_table: (0..=n_vlen).map(|vl| arch.vector_occupancy(vl)).collect(),
             line_scratch: Vec::new(),
             frontier: 0,
             slots_used: 0,
@@ -643,6 +647,19 @@ impl VCore {
         bw
     }
 
+    /// Port occupancy of a length-`vl` vector instruction, from the table.
+    /// A `vl` past the table is illegal (debug builds reject it in
+    /// `assert_vr`; introspection records it and returns before timing);
+    /// release builds fall back to the division rather than index out of
+    /// bounds.
+    #[inline]
+    fn occupancy(&self, vl: usize) -> u64 {
+        match self.occupancy_table.get(vl) {
+            Some(&occ) => occ,
+            None => self.arch.vector_occupancy(vl),
+        }
+    }
+
     fn assert_vr(&self, vr: usize, vl: usize) {
         if self.introspect {
             // Introspection deliberately records illegal operands so the
@@ -676,7 +693,7 @@ impl VCore {
         let dispatch = self.issue_slot();
         let (worst, mem_lines) = self.touch_llc_range(addr, (vl * 4) as u64, false);
         let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         let bw = self.charge_mem_bw(start, mem_lines);
         self.vreg_ready[vr] = start + worst + occ + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
@@ -749,7 +766,7 @@ impl VCore {
             mem_lines += m;
         }
         let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         let bw = self.charge_mem_bw(start, mem_lines);
         self.vreg_ready[vr] = start + worst + occ + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
@@ -835,7 +852,7 @@ impl VCore {
             .hier
             .access_strided_llc(addr, stride_bytes, count, false);
         let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(count);
+        let occ = self.occupancy(count);
         let bw = self.charge_mem_bw(start, mem_lines);
         // Strided accesses cannot use the full line bandwidth: charge the
         // stride expansion on the transfer.
@@ -930,7 +947,7 @@ impl VCore {
         }
         let srcs = self.vreg_ready[acc].max(self.vreg_ready[w]);
         let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         self.ports[port] = start + occ;
         self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         if matches!(self.mode, ExecutionMode::Functional) {
@@ -974,7 +991,7 @@ impl VCore {
             .max(self.vreg_ready[x])
             .max(self.vreg_ready[y]);
         let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         self.ports[port] = start + occ;
         self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         if matches!(self.mode, ExecutionMode::Functional) {
@@ -1017,7 +1034,7 @@ impl VCore {
         let dispatch = self.issue_slot();
         let srcs = self.vreg_ready[vr];
         let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         self.ports[port] = start + occ;
         let tail = (usize::BITS - (vl.max(2) - 1).leading_zeros()) as u64;
         let ready = start + occ + self.arch.l_fma as u64 + tail;
@@ -1068,7 +1085,7 @@ impl VCore {
         let extra = serial.saturating_sub(parallel_floor);
         self.bank_serial_cycles += extra;
         let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
+        let occ = self.occupancy(vl);
         let bw = self.charge_mem_bw(start, mem_lines);
         // Serialized bank service occupies the LLC pipe: later vector memory
         // instructions queue behind it (throughput cost, not just latency).
@@ -1646,6 +1663,33 @@ mod tests {
         );
         let sv = c.scalar_load(&a, x);
         assert_eq!(sv.ready, 0, "introspect scalar loads are ready immediately");
+        // Every vector instruction records a `vl` past the occupancy table
+        // without timing it (so without reading the table).
+        let huge = usize::MAX / 8;
+        c.vfma_bcast(0, 1, ScalarValue::constant(1.0), huge);
+        c.vfma_vv(0, 1, 2, bad_vl);
+        c.vreduce_sum(0, huge);
+        c.vload_strided(&a, 0, x, 8, bad_vl);
+        c.vload_rows(&a, 0, x, bad_vl, 4, 1);
+        let t = c.trace().unwrap();
+        assert_eq!(t.len(), 7);
+        assert!(matches!(t[2], TraceEvent::VFma { vl, .. } if vl == huge));
+        assert!(matches!(t[4], TraceEvent::VReduce { vl, .. } if vl == huge));
+    }
+
+    #[test]
+    fn occupancy_table_matches_the_division() {
+        for bits in [512, 2048, 8192, 16384] {
+            let arch = sx_aurora().with_max_vlen_bits(bits);
+            let c = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+            for vl in 0..=arch.n_vlen() + 70 {
+                assert_eq!(
+                    c.occupancy(vl),
+                    arch.vector_occupancy(vl),
+                    "{bits}-bit vl {vl}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! representative subset of the Table 3 suite — six layers spanning 3x3,
 //! strided-1x1 and conflict-prone shapes, across {DC, BDC, MBDC} x
 //! {fwdd, bwdd, bwdw} — against fixtures recorded before the optimization
-//! work. Any timing-visible regression fails `cargo test -q`.
+//! work. The vednn baseline is pinned the same way: its chosen kernel family
+//! plus the cycles and cache counters of `bench_layer_vednn` on cheap rows
+//! that cover both families and all three directions. Any timing-visible
+//! regression fails `cargo test -q`.
 //!
 //! Regenerate the fixture (only when a *modelling* change intentionally
 //! shifts cycle counts) with:
@@ -15,8 +18,9 @@
 //! LSV_GOLDEN_BLESS=1 cargo test --release --test golden_cycles
 //! ```
 
-use lsv_conv::{bench_layer, Algorithm, Direction, ExecutionMode};
+use lsv_conv::{bench_layer, Algorithm, Direction, ExecutionMode, LayerPerf};
 use lsv_models::resnet_layer;
+use lsv_vednn::{bench_layer_vednn, VednnAlgo, VednnConv};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -31,6 +35,20 @@ const MINIBATCH: usize = 16;
 
 const ALGORITHMS: [Algorithm; 3] = [Algorithm::Dc, Algorithm::Bdc, Algorithm::Mbdc];
 
+/// vednn rows: layer 1 (1x1 unit stride: GEMM fwdd/bwdw, spatial bwdd),
+/// layer 5 (strided: GEMM only, every direction) and layer 2 fwdd (3x3
+/// padded: the spatial kernel's pack path). Chosen for cost — the test
+/// binary runs unoptimized.
+const VEDNN_ROWS: [(usize, Direction); 7] = [
+    (1, Direction::Fwd),
+    (1, Direction::BwdData),
+    (1, Direction::BwdWeights),
+    (5, Direction::Fwd),
+    (5, Direction::BwdData),
+    (5, Direction::BwdWeights),
+    (2, Direction::Fwd),
+];
+
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -39,21 +57,10 @@ fn fixture_path() -> PathBuf {
 }
 
 /// One snapshot line: every simulated quantity that must stay bit-identical.
-fn snapshot_line(layer: usize, alg: Algorithm, dir: Direction) -> String {
-    let arch = lsv_arch::presets::sx_aurora();
-    let p = resnet_layer(layer, MINIBATCH);
-    let perf = bench_layer(&arch, &p, dir, alg, ExecutionMode::TimingOnly);
+fn snapshot_line(layer: usize, alg: &str, dir: Direction, perf: &LayerPerf) -> String {
     let c = &perf.report.cache;
     let mut s = String::new();
-    write!(
-        s,
-        "{},{},{},{}",
-        layer,
-        alg.short_name(),
-        dir.short_name(),
-        perf.cycles
-    )
-    .unwrap();
+    write!(s, "{},{},{},{}", layer, alg, dir.short_name(), perf.cycles).unwrap();
     for l in [&c.l1, &c.l2, &c.llc] {
         write!(
             s,
@@ -76,6 +83,26 @@ fn snapshot_line(layer: usize, alg: Algorithm, dir: Direction) -> String {
     s
 }
 
+fn direct_line(layer: usize, alg: Algorithm, dir: Direction) -> String {
+    let arch = lsv_arch::presets::sx_aurora();
+    let p = resnet_layer(layer, MINIBATCH);
+    let perf = bench_layer(&arch, &p, dir, alg, ExecutionMode::TimingOnly);
+    snapshot_line(layer, alg.short_name(), dir, &perf)
+}
+
+/// A vednn row names the family the chooser picked (`vednn:spatial` or
+/// `vednn:gemm`), so a chooser change shows up even when cycles agree.
+fn vednn_line(layer: usize, dir: Direction) -> String {
+    let arch = lsv_arch::presets::sx_aurora();
+    let p = resnet_layer(layer, MINIBATCH);
+    let family = match VednnConv::best(&arch, p.with_minibatch(2), dir).algo() {
+        VednnAlgo::DirectSpatial => "vednn:spatial",
+        VednnAlgo::Im2colGemm => "vednn:gemm",
+    };
+    let perf = bench_layer_vednn(&arch, &p, dir, ExecutionMode::TimingOnly);
+    snapshot_line(layer, family, dir, &perf)
+}
+
 fn render_snapshot() -> String {
     let mut out = String::from(
         "layer,alg,dir,cycles,\
@@ -84,14 +111,25 @@ fn render_snapshot() -> String {
          llc_hits,llc_misses,llc_conflicts,llc_writebacks,\
          mem_fetches,insts,stall_scalar,stall_dep,stall_port,bank_serial_cycles\n",
     );
-    for &layer in &LAYERS {
-        for &alg in &ALGORITHMS {
-            for dir in Direction::ALL {
-                out.push_str(&snapshot_line(layer, alg, dir));
-                out.push('\n');
+    // The vednn rows simulate on a second thread, next to the direct rows.
+    let vednn = std::thread::scope(|s| {
+        let vednn = s.spawn(|| {
+            VEDNN_ROWS
+                .iter()
+                .map(|&(layer, dir)| vednn_line(layer, dir) + "\n")
+                .collect::<String>()
+        });
+        for &layer in &LAYERS {
+            for &alg in &ALGORITHMS {
+                for dir in Direction::ALL {
+                    out.push_str(&direct_line(layer, alg, dir));
+                    out.push('\n');
+                }
             }
         }
-    }
+        vednn.join().expect("vednn rows")
+    });
+    out.push_str(&vednn);
     out
 }
 
@@ -102,7 +140,10 @@ fn golden_cycles_match_fixture() {
     if std::env::var("LSV_GOLDEN_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
-        eprintln!("golden_cycles: blessed {} entries", LAYERS.len() * 9);
+        eprintln!(
+            "golden_cycles: blessed {} entries",
+            LAYERS.len() * 9 + VEDNN_ROWS.len()
+        );
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
